@@ -139,12 +139,14 @@ class TelemetrySummary:
     workers hand it back inside their ``SuiteResult``.
 
     Attributes:
-        span_count: Finished spans recorded so far.
+        span_count: Finished spans still in the recorder's ring (not
+            all spans ever recorded: evicted ones are in
+            ``dropped_spans``).
         dropped_spans: Spans evicted by the ring buffer.
-        phase_counts: Spans per phase (span name).
-        phase_seconds: *Inclusive* seconds per phase — a parent span's
-            time contains its children's, so phases do not sum to wall
-            time.
+        phase_counts: Spans per phase (span name), over the ring.
+        phase_seconds: *Inclusive* seconds per phase over the ring,
+            from integer nanosecond totals — a parent span's time
+            contains its children's, so phases do not sum to wall time.
         counters / gauges / histograms: The metric snapshot.
     """
 
@@ -162,17 +164,14 @@ class TelemetrySummary:
         session_recorder: TraceRecorder | NullRecorder,
         session_metrics: MetricsRegistry | NullMetrics,
     ) -> "TelemetrySummary":
-        records = session_recorder.records()
-        phase_counts: dict[str, int] = {}
-        phase_seconds: dict[str, float] = {}
-        for record in records:
-            phase_counts[record.name] = phase_counts.get(record.name, 0) + 1
-            phase_seconds[record.name] = (
-                phase_seconds.get(record.name, 0.0) + record.seconds
-            )
+        totals = session_recorder.phase_totals()
+        phase_counts = {name: count for name, (count, _) in totals.items()}
+        phase_seconds = {
+            name: total_ns / 1e9 for name, (_, total_ns) in totals.items()
+        }
         snapshot = session_metrics.snapshot()
         return cls(
-            span_count=len(records),
+            span_count=sum(phase_counts.values()),
             dropped_spans=session_recorder.dropped,
             phase_counts=phase_counts,
             phase_seconds=phase_seconds,

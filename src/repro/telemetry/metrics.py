@@ -25,6 +25,7 @@ instruments do nothing; hot call sites additionally guard on
 
 from __future__ import annotations
 
+import bisect
 import threading
 from dataclasses import dataclass, field
 
@@ -152,19 +153,23 @@ class LatencyWindow:
     The streaming :class:`Histogram` keeps count/total/min/max — enough
     for rates and means, not for tail latency. A ``LatencyWindow`` keeps
     the last ``maxlen`` raw observations (a ring buffer, so memory is
-    bounded under sustained load) and answers percentile queries over
-    that window by nearest-rank on a sorted snapshot. The serving layer
-    publishes ``serve.latency_p50_ms`` / ``serve.latency_p99_ms`` gauges
-    from one of these.
+    bounded under sustained load) and answers nearest-rank percentile
+    queries over that window. A sorted mirror of the ring is maintained
+    on every ``observe`` (one ``insort`` plus one ``bisect`` + ``del``
+    for the evicted value), so a percentile is an index lookup, not a
+    sort: the adaptive coalescing window's p99 guardrail asks on every
+    dispatch. The serving layer publishes ``serve.latency_p50_ms`` /
+    ``serve.latency_p99_ms`` gauges from one of these.
     """
 
-    __slots__ = ("_lock", "_ring", "_maxlen", "_next", "_count")
+    __slots__ = ("_lock", "_ring", "_sorted", "_maxlen", "_next", "_count")
 
     def __init__(self, maxlen: int = 2048) -> None:
         if maxlen < 1:
             raise ConfigError(f"maxlen must be >= 1, got {maxlen}")
         self._lock = threading.Lock()
         self._ring: list[float] = []
+        self._sorted: list[float] = []
         self._maxlen = maxlen
         self._next = 0
         self._count = 0
@@ -175,8 +180,11 @@ class LatencyWindow:
             if len(self._ring) < self._maxlen:
                 self._ring.append(value)
             else:
+                evicted = self._ring[self._next]
+                del self._sorted[bisect.bisect_left(self._sorted, evicted)]
                 self._ring[self._next] = value
                 self._next = (self._next + 1) % self._maxlen
+            bisect.insort(self._sorted, value)
             self._count += 1
 
     @property
@@ -191,11 +199,11 @@ class LatencyWindow:
         if not 0 <= q <= 100:
             raise ConfigError(f"percentile must be in [0, 100], got {q}")
         with self._lock:
-            if not self._ring:
+            ordered = self._sorted
+            if not ordered:
                 return None
-            ordered = sorted(self._ring)
-        rank = max(1, -(-len(ordered) * q // 100))  # ceil without math
-        return ordered[int(rank) - 1]
+            rank = max(1, -(-len(ordered) * q // 100))  # ceil without math
+            return ordered[int(rank) - 1]
 
 
 @dataclass(frozen=True)

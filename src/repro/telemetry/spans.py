@@ -14,7 +14,9 @@ merged trace orders correctly by start time.
 The :class:`TraceRecorder` is ring-buffered: memory is bounded by
 ``max_spans`` and the oldest spans are dropped (and counted) once the
 buffer is full, so tracing an arbitrarily long sweep can never exhaust
-memory.
+memory. It also keeps a running per-name count and duration total of
+the spans in the ring, so a summary (:meth:`TraceRecorder.phase_totals`)
+costs O(span names), not a walk over the ring.
 
 When telemetry is off the pipeline talks to the :data:`NULL_RECORDER`
 instead — its ``span()`` hands back a shared do-nothing context manager,
@@ -166,6 +168,9 @@ class NullRecorder:
     def merge(self, records) -> None:
         pass
 
+    def phase_totals(self) -> dict[str, tuple[int, int]]:
+        return {}
+
     def __len__(self) -> int:
         return 0
 
@@ -195,6 +200,8 @@ class TraceRecorder:
         self._spans: deque[SpanRecord] = deque(maxlen=max_spans)
         self._max_spans = max_spans
         self._dropped = 0
+        # name -> [count, total duration_ns] over the spans in the ring.
+        self._totals: dict[str, list[int]] = {}
         self._ids = itertools.count(1)
         self._local = threading.local()
         # Wall anchor: start times become epoch-relative (comparable
@@ -229,9 +236,28 @@ class TraceRecorder:
             attrs=tuple(sorted(span._attrs.items())),
         )
         with self._lock:
-            if len(self._spans) == self._max_spans:
-                self._dropped += 1
-            self._spans.append(record)
+            self._append(record)
+
+    def _append(self, record: SpanRecord) -> None:
+        """Append under ``self._lock``, keeping :attr:`_totals` equal to
+        the per-name sums over the ring."""
+        totals = self._totals
+        if len(self._spans) == self._max_spans:
+            self._dropped += 1
+            evicted = self._spans[0]  # the deque drops it on append
+            entry = totals[evicted.name]
+            if entry[0] == 1:
+                del totals[evicted.name]
+            else:
+                entry[0] -= 1
+                entry[1] -= evicted.duration_ns
+        self._spans.append(record)
+        entry = totals.get(record.name)
+        if entry is None:
+            totals[record.name] = [1, record.duration_ns]
+        else:
+            entry[0] += 1
+            entry[1] += record.duration_ns
 
     def merge(self, records) -> None:
         """Fold foreign :class:`SpanRecord`\\ s (e.g. from a sweep worker
@@ -239,9 +265,7 @@ class TraceRecorder:
         time in :meth:`records`."""
         with self._lock:
             for record in records:
-                if len(self._spans) == self._max_spans:
-                    self._dropped += 1
-                self._spans.append(record)
+                self._append(record)
 
     def records(self) -> list[SpanRecord]:
         """All finished spans, ordered by start time (then pid/id for a
@@ -250,6 +274,14 @@ class TraceRecorder:
             spans = list(self._spans)
         spans.sort(key=lambda r: (r.start_ns, r.pid, r.span_id))
         return spans
+
+    def phase_totals(self) -> dict[str, tuple[int, int]]:
+        """``{name: (count, total duration_ns)}`` over the spans still in
+        the ring, in name order. Kept incrementally, so this is
+        O(span names) however many spans the ring holds."""
+        with self._lock:
+            return {name: (entry[0], entry[1])
+                    for name, entry in sorted(self._totals.items())}
 
     def __len__(self) -> int:
         with self._lock:
@@ -265,3 +297,4 @@ class TraceRecorder:
         with self._lock:
             self._spans.clear()
             self._dropped = 0
+            self._totals.clear()

@@ -1,6 +1,7 @@
 """LatencyWindow: bounded ring buffer, nearest-rank percentiles."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.telemetry import LatencyWindow
 from repro.util.errors import ConfigError
@@ -64,3 +65,32 @@ class TestValidation:
             window.percentile(-1)
         with pytest.raises(ConfigError):
             window.percentile(101)
+
+
+def oracle(values, maxlen, q):
+    """Nearest-rank percentile by sorting the newest ``maxlen`` values."""
+    ordered = sorted(values[-maxlen:])
+    rank = max(1, -(-len(ordered) * q // 100))
+    return ordered[int(rank) - 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    maxlen=st.integers(min_value=1, max_value=8),
+    # Few distinct values so duplicates are evicted and re-added.
+    values=st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0, 2.5]),
+                  st.floats(min_value=0, max_value=1e3)),
+        min_size=1, max_size=40,
+    ),
+    qs=st.lists(st.floats(min_value=0, max_value=100), max_size=4),
+)
+def test_percentile_matches_sorted_oracle(maxlen, values, qs):
+    window = LatencyWindow(maxlen=maxlen)
+    for i, value in enumerate(values, start=1):
+        window.observe(value)
+        # Checked after every observation, so wrap-around is covered
+        # from the first eviction on.
+        for q in (0, 50, 99, 100, *qs):
+            assert window.percentile(q) == oracle(values[:i], maxlen, q)
+    assert window.count == len(values)

@@ -7,6 +7,9 @@ results stay bit-identical to untraced ones, and with telemetry off the
 results carry no summary at all.
 """
 
+import asyncio
+
+import pytest
 
 from repro import telemetry
 from repro.kernels.registry import all_kernels
@@ -16,6 +19,10 @@ from repro.resilience.retry import FailurePolicy, RetrySpec
 from repro.suite.config import Placement, Precision, RunConfig
 from repro.suite.runner import run_suite
 from repro.suite.sweep import sweep
+from repro.serve import PredictionServer, ServeConfig
+from repro.telemetry.spans import SpanRecord, TraceRecorder
+
+from tests.serve.helpers import http_request
 
 CPU = catalog.sg2042()
 KERNELS = all_kernels()[:8]
@@ -174,3 +181,54 @@ class TestSummaryShape:
         with telemetry.telemetry_session():
             traced = sweep(CPU, KERNELS, **GRID)
         assert "span(s)" in telemetry_summary(traced)
+
+
+class TestEnginePathNeverWalksRing:
+    """A traced ``run_suite`` and a served ``/predict`` summarize from
+    the recorder's running totals; only exporters call ``records()``."""
+
+    @pytest.fixture(autouse=True)
+    def forbid_records(self, monkeypatch):
+        def records(self):
+            raise AssertionError("engine path walked the span ring")
+
+        monkeypatch.setattr(TraceRecorder, "records", records)
+
+    def test_traced_run_suite(self):
+        with telemetry.telemetry_session():
+            result = run_suite(CPU, RunConfig(threads=4), kernels=KERNELS)
+        assert result.telemetry.phase_counts["kernel.run"] == len(KERNELS)
+
+    def test_served_predict(self):
+        async def main():
+            server = PredictionServer(ServeConfig(port=0,
+                                                  drain_timeout_s=2.0))
+            await server.start()
+            try:
+                return await http_request(
+                    server.port, "POST", "/predict",
+                    {"kernel": "TRIAD", "threads": 8},
+                )
+            finally:
+                await server.drain()  # captures the final summary too
+
+        status, _, body = asyncio.run(main())
+        assert status == 200, body
+
+    def test_prefilled_ring_summary(self):
+        max_spans = 16
+        foreign = [SpanRecord("worker.span", i, 10, i, None, 2, 2)
+                   for i in range(max_spans + 5)]
+        with telemetry.telemetry_session(max_spans=max_spans) as (rec, _):
+            rec.merge(foreign)
+            result = run_suite(CPU, RunConfig(threads=1), kernels=KERNELS[:2])
+        summary = result.telemetry
+        own = sum(n for name, n in summary.phase_counts.items()
+                  if name != "worker.span")
+        assert summary.span_count == max_spans
+        assert summary.dropped_spans == 5 + own
+        assert summary.phase_counts["worker.span"] == max_spans - own
+        assert summary.phase_counts["suite.run"] == 1
+        assert summary.phase_seconds["worker.span"] == (
+            10 * (max_spans - own) / 1e9
+        )

@@ -1,6 +1,7 @@
 """Unit tests: span records, nesting, thread safety, ring buffering."""
 
 import pickle
+import sys
 import threading
 
 import pytest
@@ -114,6 +115,22 @@ class TestRingBuffer:
             pass
         rec.clear()
         assert len(rec) == 0 and rec.dropped == 0
+        assert rec.phase_totals() == {}
+
+    def test_phase_totals_subtract_evicted(self):
+        rec = TraceRecorder(max_spans=3)
+        rec.merge(
+            SpanRecord(name, i, duration, i, None, 1, 1)
+            for i, (name, duration) in enumerate(
+                [("a", 5), ("b", 7), ("a", 11), ("b", 13), ("c", 17)]
+            )
+        )
+        # The ring holds a(11), b(13), c(17); a(5) and b(7) were evicted.
+        assert rec.phase_totals() == {"a": (1, 11), "b": (1, 13),
+                                      "c": (1, 17)}
+        rec.merge([SpanRecord("c", 9, 2, 9, None, 1, 1)])
+        assert rec.phase_totals() == {"b": (1, 13), "c": (2, 19)}
+        assert rec.dropped == 3
 
 
 class TestThreadSafety:
@@ -145,6 +162,44 @@ class TestThreadSafety:
                 assert parent.name == "outer" + r.name[5:]
                 assert parent.tid == r.tid
 
+    def test_concurrent_appends_keep_phase_totals_exact(self):
+        # More threads than cores, a tiny ring (every append evicts) and
+        # a short switch interval: a lost update in the running totals
+        # would leave them disagreeing with the ring.
+        rec = TraceRecorder(max_spans=7)
+        threads_n, spans_per_thread = 16, 200
+        foreign = [SpanRecord("merged", i, 3, i, None, 9, 9)
+                   for i in range(5)]
+
+        def work(i):
+            for j in range(spans_per_thread):
+                if j % 10 == 0:
+                    rec.merge(foreign)
+                with rec.span(f"t{i % 3}"):
+                    pass
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+
+        expected: dict[str, tuple[int, int]] = {}
+        for r in rec.records():
+            count, total = expected.get(r.name, (0, 0))
+            expected[r.name] = (count + 1, total + r.duration_ns)
+        assert rec.phase_totals() == expected
+        appended = threads_n * (spans_per_thread
+                                + spans_per_thread // 10 * len(foreign))
+        assert rec.dropped == appended - len(rec) == appended - 7
+
 
 class TestNullObjects:
     def test_null_recorder_is_inert(self):
@@ -157,6 +212,7 @@ class TestNullObjects:
         assert NULL_RECORDER.dropped == 0
         NULL_RECORDER.merge([SpanRecord("x", 0, 0, 1, None, 0, 0)])
         assert NULL_RECORDER.records() == []
+        assert NULL_RECORDER.phase_totals() == {}
 
 
 class TestSession:
